@@ -16,12 +16,17 @@ race:
 # Epoch + kernel benchmarks: BenchmarkEpochParallel reports its speedup over
 # the serial baseline as a custom metric; -benchmem tracks the tape engine's
 # B/op and allocs/op (the allocation-regression budget lives in
-# internal/core/alloc_test.go and runs under `make ci`). The stream is piped
-# through scripts/benchjson, which echoes it and records the results with
-# run metadata in BENCH_epoch.json (same convention as BENCH_serve.json).
+# internal/core/alloc_test.go and runs under `make ci`). The production
+# kernels (…/blocked, …/fused) are benchmarked in the root package; their
+# test-oracle twins (…/reference, the scalar loops, in internal/tensor and
+# …/unfused, the unfused aggregation chain, in internal/autodiff) run from
+# those packages on the same inputs. The stream is piped through
+# scripts/benchjson, which echoes it and records the results with run
+# metadata in BENCH_epoch.json (same convention as BENCH_serve.json).
 bench:
 	go test -run xxx -benchtime 20x -benchmem \
-		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkMatMul|BenchmarkCSRAggregate' . \
+		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkMatMul|BenchmarkCSRAggregate' \
+		. ./internal/tensor ./internal/autodiff \
 		| go run ./scripts/benchjson -out BENCH_epoch.json
 
 # Serving benchmark: train, publish a snapshot, replay zipf query traffic

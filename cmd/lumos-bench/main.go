@@ -20,7 +20,6 @@ import (
 	"lumos/internal/core"
 	"lumos/internal/eval"
 	"lumos/internal/nn"
-	"lumos/internal/tensor"
 )
 
 func main() {
@@ -39,8 +38,6 @@ func main() {
 		workers = flag.Int("workers", 0, "training worker pool size (0 = one per CPU; results identical)")
 		sched   = flag.String("sched", "sync", "round scheduling: sync|async (staleness-bounded)")
 		stale   = flag.Int("staleness", 0, "async gradient staleness bound in epochs (0 = default)")
-		noTape  = flag.Bool("notapereuse", false, "rebuild the autodiff tape every epoch instead of recycling it (debugging; identical results)")
-		kernels = flag.String("kernels", "", "tensor kernel path: blocked (default) | reference (scalar cross-check loops; identical results)")
 
 		serveBench   = flag.Bool("serve", false, "benchmark the serving path (train, publish, replay zipf queries, hot-swap) instead of the paper experiments")
 		serveQueries = flag.Int("serve-queries", 4000, "total queries in the -serve headline phase")
@@ -48,14 +45,6 @@ func main() {
 		serveOut     = flag.String("serve-out", "BENCH_serve.json", "where -serve writes its latency/QPS report")
 	)
 	flag.Parse()
-
-	// Applied process-wide up front so both the paper experiments and the
-	// -serve path honor it.
-	kp, err := tensor.ParseKernelPath(*kernels)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	tensor.SetKernelPath(kp)
 
 	if *serveBench {
 		check(runServeBench(serveBenchConfig{
@@ -70,7 +59,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	opts := eval.Options{
-		Kernels:        *kernels,
 		FacebookScale:  *fbScale,
 		LastFMScale:    *lfScale,
 		Epochs:         *epochs,
@@ -80,7 +68,6 @@ func main() {
 		Workers:        *workers,
 		Sched:          schedMode,
 		Staleness:      *stale,
-		NoTapeReuse:    *noTape,
 		Seed:           *seed,
 	}
 	for _, b := range strings.Split(*bbs, ",") {

@@ -128,22 +128,71 @@ func TestUnsupervisedSessionAllocBudget(t *testing.T) {
 	}
 }
 
+// freshTapeLosses is the fresh-tape oracle: it trains like
+// supervisedLosses/unsupervisedLosses (Cfg.Epochs session steps, then
+// FinishRounds) but drops every engine tape before each epoch, so
+// shardTape/serialTape record the epoch on brand-new tapes instead of
+// recycled ones.
+func freshTapeLosses(t *testing.T, sys *System, obj Objective) []float64 {
+	t.Helper()
+	sess, err := sys.NewSession(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := 0; epoch < sys.Cfg.Epochs; epoch++ {
+		clear(sys.eng.tapes)
+		sys.eng.serial = nil
+		if _, err := sess.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sess.FinishRounds()
+	return sess.Stats().Losses
+}
+
+// freshSupervisedLosses is supervisedLosses under the fresh-tape oracle.
+func freshSupervisedLosses(t *testing.T, g *graph.Graph, cfg Config) []float64 {
+	t.Helper()
+	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Task = Supervised
+	sys, err := NewSystem(g, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return freshTapeLosses(t, sys, NewSupervisedObjective(split))
+}
+
+// freshUnsupervisedLosses is unsupervisedLosses under the fresh-tape oracle.
+func freshUnsupervisedLosses(t *testing.T, g *graph.Graph, cfg Config) []float64 {
+	t.Helper()
+	es, err := graph.SplitEdges(g, 0.8, 0.05, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Task = Unsupervised
+	sys, err := NewSystem(es.TrainGraph, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return freshTapeLosses(t, sys, NewUnsupervisedObjective(es))
+}
+
 // TestTapeReuseMatchesFreshTapes is the tape-lifecycle golden at system
-// level: recycling the per-shard tapes across epochs (the default) must
-// produce bit-identical loss traces to rebuilding every tape from scratch
-// each epoch (Config.NoTapeReuse), for several epochs, both backbones, and
-// both tasks.
+// level: recycling the per-shard tapes across epochs (the engine's only
+// mode) must produce bit-identical loss traces to rebuilding every tape
+// from scratch each epoch (the fresh-tape oracle), for several epochs, both
+// backbones, and both tasks.
 func TestTapeReuseMatchesFreshTapes(t *testing.T) {
 	g := engineGraph(t, 22)
 	for _, bb := range []nn.Backbone{nn.GCN, nn.GAT} {
-		base := Config{Backbone: bb, Epochs: 5, MCMCIterations: 20, Workers: 2, Seed: 22}
-		fresh := base
-		fresh.NoTapeReuse = true
-
+		cfg := Config{Backbone: bb, Epochs: 5, MCMCIterations: 20, Workers: 2, Seed: 22}
 		requireIdentical(t, bb.String()+"/supervised reuse vs fresh",
-			supervisedLosses(t, g, base), supervisedLosses(t, g, fresh))
+			supervisedLosses(t, g, cfg), freshSupervisedLosses(t, g, cfg))
 		requireIdentical(t, bb.String()+"/unsupervised reuse vs fresh",
-			unsupervisedLosses(t, g, base), unsupervisedLosses(t, g, fresh))
+			unsupervisedLosses(t, g, cfg), freshUnsupervisedLosses(t, g, cfg))
 	}
 }
 
@@ -152,11 +201,9 @@ func TestTapeReuseMatchesFreshTapes(t *testing.T) {
 // parameters — the one place tape-era buffers outlive an epoch.
 func TestTapeReuseMatchesFreshTapesAsync(t *testing.T) {
 	g := engineGraph(t, 23)
-	base := Config{Epochs: 5, MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Workers: 2, Seed: 23}
-	fresh := base
-	fresh.NoTapeReuse = true
+	cfg := Config{Epochs: 5, MCMCIterations: 20, Sched: SchedAsync, Staleness: 2, Workers: 2, Seed: 23}
 	requireIdentical(t, "async reuse vs fresh",
-		supervisedLosses(t, g, base), supervisedLosses(t, g, fresh))
+		supervisedLosses(t, g, cfg), freshSupervisedLosses(t, g, cfg))
 }
 
 // TestEvaluationDoesNotPerturbTraining guards the tape-reset discipline

@@ -131,8 +131,9 @@ type RoundPlan struct {
 //
 // Participation and delays are lifted to shard granularity: a shard is
 // active when at least half of its devices are present (exact when the
-// system was built with Shards == N, one device per shard — the simulator
-// default), and a shard's delay is the largest among its present devices.
+// system was built with Shards == N, one device per shard, which the
+// simulator requires), and a shard's delay is the largest among its present
+// devices.
 func (se *Session) StepRound(plan RoundPlan) (RoundOutcome, error) {
 	s := se.sys
 	t0 := se.tel.begin()

@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func newParamSet(rng *rand.Rand, names ...string) paramSet {
 	return ps
 }
 
-func checkpointOf(t *testing.T, m Module) []byte {
+func checkpointOf(t testing.TB, m Module) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, m); err != nil {
@@ -33,37 +34,46 @@ func checkpointOf(t *testing.T, m Module) []byte {
 	return buf.Bytes()
 }
 
-// TestLoadParamsCorruptLengthFields drives every untrusted length field out
-// of bounds and expects a loud decode error in place of the historical
-// multi-GB up-front allocation.
-func TestLoadParamsCorruptLengthFields(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	m := newParamSet(rng, "a", "b")
-	good := checkpointOf(t, m)
+// lengthFieldCase overwrites one u32 length field of a good checkpoint.
+type lengthFieldCase struct {
+	name string
+	off  int
+	val  uint32
+	want string // substring of the expected decode error
+}
 
-	// Offsets into the stream: magic u32, count u32, then per parameter
-	// nameLen u32, name, blobLen u32, blob.
+// corruptLengthFields is the table of TestLoadParamsCorruptLengthFields,
+// over a checkpoint of newParamSet(…, "a", "b"). Offsets into the stream:
+// magic u32, count u32, then per parameter nameLen u32, name, blobLen u32,
+// blob.
+func corruptLengthFields() []lengthFieldCase {
 	countOff := 4
 	nameLenOff := 8
 	blobLenOff := 8 + 4 + 1 // nameLen + 1-byte name "a"
-
-	cases := []struct {
-		name string
-		off  int
-		val  uint32
-		want string
-	}{
+	return []lengthFieldCase{
 		{"huge count", countOff, 1 << 30, "bound is"},
 		{"huge name length", nameLenOff, 1 << 30, "name length"},
 		{"zero name length", nameLenOff, 0, "name length"},
 		{"huge blob length", blobLenOff, 1 << 30, "bound is"},
 		{"blob length past EOF", blobLenOff, 1 << 20, "payload"},
 	}
-	for _, tc := range cases {
+}
+
+func (tc lengthFieldCase) apply(good []byte) []byte {
+	corrupt := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(corrupt[tc.off:], tc.val)
+	return corrupt
+}
+
+// TestLoadParamsCorruptLengthFields drives every untrusted length field out
+// of bounds and expects a loud decode error in place of the historical
+// multi-GB up-front allocation.
+func TestLoadParamsCorruptLengthFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	good := checkpointOf(t, newParamSet(rng, "a", "b"))
+	for _, tc := range corruptLengthFields() {
 		t.Run(tc.name, func(t *testing.T) {
-			corrupt := append([]byte(nil), good...)
-			binary.LittleEndian.PutUint32(corrupt[tc.off:], tc.val)
-			err := LoadParams(bytes.NewReader(corrupt), newParamSet(rand.New(rand.NewSource(5)), "a", "b"))
+			err := LoadParams(bytes.NewReader(tc.apply(good)), newParamSet(rand.New(rand.NewSource(5)), "a", "b"))
 			if err == nil {
 				t.Fatal("corrupt checkpoint loaded without error")
 			}
@@ -88,6 +98,40 @@ func TestLoadParamsTruncation(t *testing.T) {
 	if err := LoadParams(bytes.NewReader(good), newParamSet(rand.New(rand.NewSource(7)), "w", "b")); err != nil {
 		t.Fatalf("intact checkpoint failed to load: %v", err)
 	}
+}
+
+// FuzzLoadParams feeds arbitrary bytes to LoadParams against a two-parameter
+// model. The corpus is seeded with the inputs of the corruption and
+// truncation tests above; regressions found by fuzzing live in
+// testdata/fuzz/FuzzLoadParams. Loading must never panic or allocate
+// beyond the input, and a stream it accepts must survive a save/load round
+// trip unchanged.
+func FuzzLoadParams(f *testing.F) {
+	good := checkpointOf(f, newParamSet(rand.New(rand.NewSource(21)), "a", "b"))
+	for _, tc := range corruptLengthFields() {
+		f.Add(tc.apply(good))
+	}
+	for n := 0; n <= len(good); n++ {
+		f.Add(good[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newParamSet(rand.New(rand.NewSource(5)), "a", "b")
+		if err := LoadParams(bytes.NewReader(data), m); err != nil {
+			return
+		}
+		again := newParamSet(rand.New(rand.NewSource(6)), "a", "b")
+		if err := LoadParams(bytes.NewReader(checkpointOf(t, m)), again); err != nil {
+			t.Fatalf("re-saved checkpoint failed to load: %v", err)
+		}
+		for i, p := range m {
+			want, got := p.V.Data.Data(), again[i].V.Data.Data()
+			for j := range want {
+				if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
+					t.Fatalf("parameter %q changed across save/load", p.Name)
+				}
+			}
+		}
+	})
 }
 
 func TestLoadParamsRejectsDuplicateNames(t *testing.T) {

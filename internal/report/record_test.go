@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -31,22 +32,43 @@ func sampleRecord() *RunRecord {
 }
 
 // TestRunRecordRoundTrip: write → load → DeepEqual, with no warnings on a
-// clean record.
+// clean record — also when the manifest still carries the "kernels" key
+// that older producers wrote, which loading ignores.
 func TestRunRecordRoundTrip(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "rec")
-	want := sampleRecord()
-	if err := WriteRunRecord(dir, want); err != nil {
-		t.Fatal(err)
-	}
-	got, warnings, err := LoadRunRecord(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnings) != 0 {
-		t.Fatalf("clean record produced warnings: %v", warnings)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	for _, retiredKernels := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "rec")
+		want := sampleRecord()
+		if err := WriteRunRecord(dir, want); err != nil {
+			t.Fatal(err)
+		}
+		if retiredKernels {
+			path := filepath.Join(dir, ManifestFile)
+			mb, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m map[string]any
+			if err := json.Unmarshal(mb, &m); err != nil {
+				t.Fatal(err)
+			}
+			m["kernels"] = "reference"
+			if mb, err = json.Marshal(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, mb, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, warnings, err := LoadRunRecord(dir)
+		if err != nil {
+			t.Fatalf("kernels key %v: %v", retiredKernels, err)
+		}
+		if len(warnings) != 0 {
+			t.Fatalf("kernels key %v: clean record produced warnings: %v", retiredKernels, warnings)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("kernels key %v: round trip mismatch:\n got %+v\nwant %+v", retiredKernels, got, want)
+		}
 	}
 }
 

@@ -70,6 +70,7 @@ type request struct {
 	kind  reqKind
 	nodes []int
 	pairs [][2]int
+	res   result // filled by the worker before it replies on done
 	done  chan result
 }
 
@@ -186,13 +187,18 @@ func (s *Server) worker() {
 			t0 := s.tel.begin()
 			b := s.cur.Load()
 			for _, r := range batch {
-				r.done <- answer(b, r)
+				r.res = answer(b, r)
 			}
 			var version uint64
 			if b != nil {
 				version = b.Version
 			}
+			// Record the batch before replying, so a client holding its
+			// answer already sees the batch in a /metrics scrape.
 			s.tel.batch(len(batch), version, t0)
+			for _, r := range batch {
+				r.done <- r.res
+			}
 		}
 	}
 }

@@ -79,12 +79,17 @@ const roundTrack = 0
 
 // New prepares a simulator over an assembled system of either task. The
 // system's Config.Sched and Config.Staleness select the aggregation
-// discipline. Build the system with Config.Shards == device count for exact
-// per-device participation; coarser shardings degrade gracefully to
-// majority-vote shard participation (see core.Session.StepRound).
+// discipline. The system must be built with one device per shard
+// (Config.Shards == device count): core.Session.StepRound lifts participation
+// to shard granularity, so under a coarser sharding a round's few present
+// devices would rarely activate their shard and most rounds would silently
+// train nothing. New rejects such systems.
 func New(sys *core.System, sc Scenario) (*Simulator, error) {
 	if sys == nil {
 		return nil, fmt.Errorf("sim: nil system")
+	}
+	if shards := sys.ShardCount(); shards != sys.G.N {
+		return nil, fmt.Errorf("sim: system has %d shards for %d devices; build it with Config.Shards = %d (one device per shard)", shards, sys.G.N, sys.G.N)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, err

@@ -265,14 +265,17 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if d.err == nil && fs.N > maxDevices {
 		return nil, fmt.Errorf("snapshot: device count %d exceeds bound %d (corrupt length field?)", fs.N, maxDevices)
 	}
+	// Every slice sized by a length field grows as its elements actually
+	// arrive (growCap), so a corrupt count runs out of input instead of
+	// driving an up-front allocation.
 	totalNodes, totalEdges := 0, 0
 	if d.err == nil {
-		fs.TreeNodes = make([]int, fs.N)
-		fs.TreeEdges = make([][][2]int, fs.N)
+		fs.TreeNodes = make([]int, 0, growCap(fs.N))
+		fs.TreeEdges = make([][][2]int, 0, growCap(fs.N))
 	}
 	for v := 0; d.err == nil && v < fs.N; v++ {
-		fs.TreeNodes[v] = d.dim("tree node count")
-		totalNodes += fs.TreeNodes[v]
+		nodes := d.dim("tree node count")
+		totalNodes += nodes
 		if totalNodes > maxTreeNodes {
 			return nil, fmt.Errorf("snapshot: forest claims over %d nodes (corrupt length field?)", maxTreeNodes)
 		}
@@ -281,31 +284,29 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		if totalEdges > maxTreeEdges {
 			return nil, fmt.Errorf("snapshot: forest claims over %d edges (corrupt length field?)", maxTreeEdges)
 		}
-		if d.err != nil {
-			break
+		edges := make([][2]int, 0, growCap(ne))
+		for i := 0; d.err == nil && i < ne; i++ {
+			edges = append(edges, [2]int{d.dim("edge endpoint"), d.dim("edge endpoint")})
 		}
-		edges := make([][2]int, ne)
-		for i := range edges {
-			edges[i] = [2]int{d.dim("edge endpoint"), d.dim("edge endpoint")}
-		}
-		fs.TreeEdges[v] = edges
+		fs.TreeNodes = append(fs.TreeNodes, nodes)
+		fs.TreeEdges = append(fs.TreeEdges, edges)
 	}
 	nLeaf := d.dim("leaf count")
 	if d.err == nil && nLeaf > totalNodes {
 		return nil, fmt.Errorf("snapshot: %d leaves for %d forest nodes (corrupt length field?)", nLeaf, totalNodes)
 	}
 	if d.err == nil {
-		fs.LeafRows = make([]int, nLeaf)
-		fs.LeafVertex = make([]int, nLeaf)
-		fs.PoolCoef = make([]float64, nLeaf)
-		for i := range fs.LeafRows {
-			fs.LeafRows[i] = d.dim("leaf row")
+		fs.LeafRows = make([]int, 0, growCap(nLeaf))
+		for i := 0; d.err == nil && i < nLeaf; i++ {
+			fs.LeafRows = append(fs.LeafRows, d.dim("leaf row"))
 		}
-		for i := range fs.LeafVertex {
-			fs.LeafVertex[i] = d.dim("leaf vertex")
+		fs.LeafVertex = make([]int, 0, growCap(nLeaf))
+		for i := 0; d.err == nil && i < nLeaf; i++ {
+			fs.LeafVertex = append(fs.LeafVertex, d.dim("leaf vertex"))
 		}
-		for i := range fs.PoolCoef {
-			fs.PoolCoef[i] = d.f64()
+		fs.PoolCoef = make([]float64, 0, growCap(nLeaf))
+		for i := 0; d.err == nil && i < nLeaf; i++ {
+			fs.PoolCoef = append(fs.PoolCoef, d.f64())
 		}
 	}
 	xBlob := d.blob(maxMatrixLen, "embedding matrix")
@@ -550,6 +551,11 @@ func (d *decoder) read(v interface{}) {
 	}
 	d.err = binary.Read(d.r, binary.LittleEndian, v)
 }
+
+// growCap is the initial capacity for a slice of n decoded elements: n
+// itself up to a small bound, after which append grows the slice only as
+// the elements are actually read.
+func growCap(n int) int { return min(n, 1024) }
 
 // blob reads a length-prefixed byte section, growing as data actually
 // arrives so a corrupt length never drives an up-front allocation.

@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -15,7 +16,7 @@ import (
 )
 
 // trainedSystem briefly trains a small system through the public core API.
-func trainedSystem(t *testing.T, task core.Task, seed int64) (*core.System, *graph.NodeSplit, *graph.EdgeSplit) {
+func trainedSystem(t testing.TB, task core.Task, seed int64) (*core.System, *graph.NodeSplit, *graph.EdgeSplit) {
 	t.Helper()
 	g, err := graph.Generate(graph.GenConfig{
 		Name: "snaptest", N: 40, M: 140, Classes: 3, FeatureDim: 12,
@@ -56,7 +57,7 @@ func trainedSystem(t *testing.T, task core.Task, seed int64) (*core.System, *gra
 	return sys, nil, es
 }
 
-func encodeOf(t *testing.T, s *Snapshot) []byte {
+func encodeOf(t testing.TB, s *Snapshot) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Encode(&buf); err != nil {
@@ -185,16 +186,36 @@ func TestSnapshotCaptureIsFrozen(t *testing.T) {
 // must surface as a decode error (CRC mismatch or a bounds check), never a
 // silently-wrong model or a huge allocation.
 func TestSnapshotCorruption(t *testing.T) {
+	good := corruptionBase(t)
+	if _, err := Decode(bytes.NewReader(good)); err != nil {
+		t.Fatalf("intact snapshot failed to decode: %v", err)
+	}
+	for _, fl := range bitFlips(good) {
+		if _, err := Decode(bytes.NewReader(fl.data)); err == nil {
+			t.Fatalf("bit flip at offset %d (mask %#x) decoded without error", fl.off, fl.mask)
+		}
+	}
+}
+
+// corruptionBase is the intact encoding TestSnapshotCorruption flips bits in.
+func corruptionBase(t testing.TB) []byte {
 	sys, _, _ := trainedSystem(t, core.Supervised, 53)
 	snap, err := Capture(sys, Meta{Version: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := encodeOf(t, snap)
-	if _, err := Decode(bytes.NewReader(good)); err != nil {
-		t.Fatalf("intact snapshot failed to decode: %v", err)
-	}
+	return encodeOf(t, snap)
+}
 
+type bitFlip struct {
+	off  int
+	mask byte
+	data []byte
+}
+
+// bitFlips returns copies of good with one low or high bit flipped, at ~64
+// offsets spread over the encoding plus every trailer byte.
+func bitFlips(good []byte) []bitFlip {
 	step := len(good) / 64
 	if step < 1 {
 		step = 1
@@ -207,34 +228,77 @@ func TestSnapshotCorruption(t *testing.T) {
 	for off := len(good) - 4; off < len(good); off++ {
 		offsets = append(offsets, off)
 	}
+	var out []bitFlip
 	for _, off := range offsets {
-		for _, bit := range []byte{0x01, 0x80} {
+		for _, mask := range []byte{0x01, 0x80} {
 			corrupt := append([]byte(nil), good...)
-			corrupt[off] ^= bit
-			if _, err := Decode(bytes.NewReader(corrupt)); err == nil {
-				t.Fatalf("bit flip at offset %d (mask %#x) decoded without error", off, bit)
-			}
+			corrupt[off] ^= mask
+			out = append(out, bitFlip{off, mask, corrupt})
 		}
 	}
+	return out
 }
 
 // TestSnapshotTruncation: every truncated prefix must fail cleanly.
 func TestSnapshotTruncation(t *testing.T) {
+	good := truncationBase(t)
+	for _, n := range truncationLengths(len(good)) {
+		if _, err := Decode(bytes.NewReader(good[:n])); err == nil {
+			t.Fatalf("truncated snapshot (%d of %d bytes) decoded without error", n, len(good))
+		}
+	}
+}
+
+// truncationBase is the intact encoding TestSnapshotTruncation cuts short.
+func truncationBase(t testing.TB) []byte {
 	sys, _, _ := trainedSystem(t, core.Supervised, 59)
 	snap, err := Capture(sys, Meta{Version: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := encodeOf(t, snap)
-	// Every boundary through the fixed-size head, then sampled thereafter.
-	for n := 0; n < len(good); n++ {
-		if n > 256 && n%89 != 0 {
-			continue
-		}
-		if _, err := Decode(bytes.NewReader(good[:n])); err == nil {
-			t.Fatalf("truncated snapshot (%d of %d bytes) decoded without error", n, len(good))
+	return encodeOf(t, snap)
+}
+
+// truncationLengths lists the prefix lengths TestSnapshotTruncation cuts an
+// n-byte encoding to: every boundary through the fixed-size head, then
+// sampled thereafter.
+func truncationLengths(n int) []int {
+	var out []int
+	for k := 0; k < n; k++ {
+		if k <= 256 || k%89 == 0 {
+			out = append(out, k)
 		}
 	}
+	return out
+}
+
+// FuzzSnapshotDecode feeds arbitrary bytes to Decode. The corpus is seeded
+// with the inputs of TestSnapshotCorruption and TestSnapshotTruncation
+// (and their intact encodings); regressions found by fuzzing live in
+// testdata/fuzz/FuzzSnapshotDecode. Decoding must never panic or allocate
+// beyond the input, and a snapshot it accepts must re-encode.
+func FuzzSnapshotDecode(f *testing.F) {
+	good := corruptionBase(f)
+	f.Add(good)
+	for _, fl := range bitFlips(good) {
+		f.Add(fl.data)
+	}
+	good = truncationBase(f)
+	f.Add(good)
+	for _, n := range truncationLengths(len(good)) {
+		if n <= 256 {
+			f.Add(good[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := s.Encode(io.Discard); err != nil {
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		}
+	})
 }
 
 func TestSnapshotBadMagicAndFormat(t *testing.T) {

@@ -34,9 +34,10 @@ func (m *Matrix) UnmarshalBinary(buf []byte) error {
 	}
 	rows := int(binary.LittleEndian.Uint32(buf[4:8]))
 	cols := int(binary.LittleEndian.Uint32(buf[8:12]))
-	want := 12 + 8*rows*cols
-	if len(buf) != want {
-		return fmt.Errorf("tensor: matrix payload %d bytes, want %d for %dx%d", len(buf), want, rows, cols)
+	// Compare element counts, not byte counts: 8·rows·cols can wrap around
+	// for corrupt dimensions, while rows·cols of two u32s cannot.
+	if payload := len(buf) - 12; payload%8 != 0 || uint64(payload/8) != uint64(rows)*uint64(cols) {
+		return fmt.Errorf("tensor: matrix payload %d bytes, want 8·%d·%d", len(buf)-12, rows, cols)
 	}
 	m.rows, m.cols = rows, cols
 	m.data = make([]float64, rows*cols)

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,6 +54,13 @@ func TestUnmarshalWrongPayload(t *testing.T) {
 	var back Matrix
 	if err := back.UnmarshalBinary(blob[:len(blob)-8]); err == nil {
 		t.Fatal("expected error on short payload")
+	}
+	// A header-only blob whose 8·rows·cols wraps around to zero bytes.
+	wrap := blob[:12:12]
+	binary.LittleEndian.PutUint32(wrap[4:], 1<<31)
+	binary.LittleEndian.PutUint32(wrap[8:], 1<<30)
+	if err := back.UnmarshalBinary(wrap); err == nil {
+		t.Fatal("expected error on wrapping dimensions")
 	}
 }
 

@@ -7,14 +7,14 @@ import (
 )
 
 // The kernel-equivalence property tests: the blocked kernels must match the
-// scalar reference kernels bit for bit (==, not ApproxEqual) over randomized
-// shapes, including degenerate 1×N / N×1 / empty dimensions and inputs
-// salted with exact ±0 entries (the only values where the two paths take
-// different instruction sequences).
+// scalar oracle loops (reference_test.go) bit for bit (==, not ApproxEqual)
+// over randomized shapes, including degenerate 1×N / N×1 / empty dimensions
+// and inputs salted with exact ±0 entries (the only values where the two
+// take different instruction sequences).
 
 // saltedMatrix fills a rows×cols matrix with random values, forcing ~30% of
-// entries to exact zero (half of those −0) to exercise the reference path's
-// sparsity branches.
+// entries to exact zero (half of those −0) to exercise the sparsity
+// branches.
 func saltedMatrix(rows, cols int, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
 	d := m.Data()
@@ -80,14 +80,6 @@ func kernelShapes(rng *rand.Rand) [][3]int {
 	return shapes
 }
 
-func withPath(t *testing.T, p KernelPath, fn func()) {
-	t.Helper()
-	old := ActiveKernelPath()
-	SetKernelPath(p)
-	defer SetKernelPath(old)
-	fn()
-}
-
 func TestKernelEquivalenceMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, sh := range kernelShapes(rng) {
@@ -101,21 +93,15 @@ func TestKernelEquivalenceMatMul(t *testing.T) {
 		matMulRowsBlocked(a, b, blk, 0, m)
 		requireBitIdentical(t, "matMulRowsBlocked", ref, blk)
 
-		// The public entry points under both paths, including the parallel
-		// fan-out for large shapes.
-		var viaRef, viaBlk *Matrix
-		withPath(t, PathReference, func() { viaRef = MatMul(a, b) })
-		withPath(t, PathBlocked, func() { viaBlk = MatMul(a, b) })
-		requireBitIdentical(t, "MatMul paths", viaRef, viaBlk)
+		// The public entry points, including the parallel fan-out for
+		// large shapes.
+		requireBitIdentical(t, "MatMul", ref, MatMul(a, b))
 
 		// MatMulInto must yield the product regardless of dst's prior
-		// contents on both paths (blocked overwrites, reference re-zeroes).
-		intoB := saltedMatrix(m, n, rng)
-		withPath(t, PathBlocked, func() { MatMulInto(intoB, a, b) })
-		requireBitIdentical(t, "MatMulInto blocked", viaRef, intoB)
-		intoR := saltedMatrix(m, n, rng)
-		withPath(t, PathReference, func() { MatMulInto(intoR, a, b) })
-		requireBitIdentical(t, "MatMulInto reference", viaRef, intoR)
+		// contents (the kernel overwrites).
+		into := saltedMatrix(m, n, rng)
+		MatMulInto(into, a, b)
+		requireBitIdentical(t, "MatMulInto", ref, into)
 	}
 }
 
@@ -133,10 +119,9 @@ func TestKernelEquivalenceMatMulNT(t *testing.T) {
 		matMulNTRowsBlocked(a, b, blk, 0, m)
 		requireBitIdentical(t, "matMulNTRowsBlocked", ref, blk)
 
-		viaRef, viaBlk := seed.Clone(), seed.Clone()
-		withPath(t, PathReference, func() { MatMulNTAddInto(viaRef, a, b) })
-		withPath(t, PathBlocked, func() { MatMulNTAddInto(viaBlk, a, b) })
-		requireBitIdentical(t, "MatMulNTAddInto paths", viaRef, viaBlk)
+		via := seed.Clone()
+		MatMulNTAddInto(via, a, b)
+		requireBitIdentical(t, "MatMulNTAddInto", ref, via)
 	}
 }
 
@@ -154,10 +139,9 @@ func TestKernelEquivalenceMatMulTN(t *testing.T) {
 		matMulTNRowsBlocked(a, b, blk, 0, k)
 		requireBitIdentical(t, "matMulTNRowsBlocked", ref, blk)
 
-		viaRef, viaBlk := seed.Clone(), seed.Clone()
-		withPath(t, PathReference, func() { MatMulTNAddInto(viaRef, a, b) })
-		withPath(t, PathBlocked, func() { MatMulTNAddInto(viaBlk, a, b) })
-		requireBitIdentical(t, "MatMulTNAddInto paths", viaRef, viaBlk)
+		via := seed.Clone()
+		MatMulTNAddInto(via, a, b)
+		requireBitIdentical(t, "MatMulTNAddInto", ref, via)
 	}
 }
 

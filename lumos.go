@@ -66,10 +66,9 @@
 // ~5.8k allocations and ~200 MB allocated per epoch to ~114 allocations and
 // ~29 KB, and per-epoch wall time fell ~1.6×. Parameter gradients recycle
 // their buffers in place across ZeroGrad/backward cycles on every path,
-// taped or not. Config.NoTapeReuse (CLI -notapereuse) rebuilds the tapes
-// from scratch each epoch — bit-identical results, useful when debugging
-// suspected buffer-reuse issues — and an allocation-budget test in CI keeps
-// the steady state honest.
+// taped or not. Tapes are always recycled: a test rebuilds them from
+// scratch each epoch and requires bit-identical loss traces, and an
+// allocation-budget test in CI keeps the steady state honest.
 //
 // # Hardware-fast kernels
 //
@@ -87,12 +86,10 @@
 // path cut the serial GCN epoch ~70.6 → ~44 ms (≈1.6×, see
 // BENCH_epoch.json for the committed numbers) and the fused aggregation
 // runs ~5× faster than the unfused chain with ~16× less garbage, with
-// the ≤250 allocs/epoch budget unchanged.
-// Config.Kernels (CLI -kernels on lumos-train/lumos-bench) selects
-// "blocked" (default) or "reference" — the original scalar loops, kept as
-// a cross-check target for the kernel-equivalence property tests; both
-// paths produce identical bits, so the flag is purely a wall-clock /
-// debugging knob. SetKernelPath applies the choice process-wide.
+// the ≤250 allocs/epoch budget unchanged. These kernels are the only
+// production path; the scalar loops and the unfused chains survive as test
+// oracles that the kernel- and op-equivalence tests compare against bit
+// for bit.
 //
 // Config.Sched selects the round schedule. SchedSync (default) is the
 // paper's lockstep protocol: every epoch aggregates all gradients and waits
@@ -272,8 +269,8 @@
 // The write-only telemetry above gets its analysis half in internal/report:
 // recorded, diffable run artifacts plus trace analytics. Passing
 // -run-out <dir> to lumos-sim or lumos-train records the run as a
-// directory — manifest.json (the full CLI args, seed, fleet, topology,
-// kernel path, go version, and GOMAXPROCS needed to reproduce it, plus the
+// directory — manifest.json (the full CLI args, seed, fleet, topology, go
+// version, and GOMAXPROCS needed to reproduce it, plus the
 // final metric/wall-clock/bytes/energy summary), rounds.jsonl (one row per
 // committed round, streamed as rounds commit via SimScenario.RoundObserver
 // so a killed run keeps its prefix), and metrics.prom (the final Prometheus
@@ -310,7 +307,6 @@ import (
 	"lumos/internal/serve"
 	"lumos/internal/sim"
 	"lumos/internal/snapshot"
-	"lumos/internal/tensor"
 	"lumos/internal/topo"
 )
 
@@ -402,27 +398,6 @@ const (
 	SchedGossip = core.SchedGossip
 )
 
-// KernelPath selects between the register-blocked tensor kernels and the
-// scalar reference loops (bit-identical results; see "Hardware-fast
-// kernels" above).
-type KernelPath = tensor.KernelPath
-
-// Kernel paths.
-const (
-	// KernelsBlocked is the default register-blocked + fused-CSR path.
-	KernelsBlocked = tensor.PathBlocked
-	// KernelsReference runs the original scalar loops.
-	KernelsReference = tensor.PathReference
-)
-
-// SetKernelPath selects the tensor kernel implementation process-wide;
-// Config.Kernels does the same per training run.
-func SetKernelPath(p KernelPath) { tensor.SetKernelPath(p) }
-
-// ParseKernelPath parses a kernel-path name ("blocked" or "reference"; ""
-// means blocked).
-func ParseKernelPath(s string) (KernelPath, error) { return tensor.ParseKernelPath(s) }
-
 // ParseSched parses a scheduling-mode name ("sync", "async", or "gossip").
 func ParseSched(name string) (Sched, error) { return core.ParseSched(name) }
 
@@ -504,8 +479,8 @@ func SampleTrace(devices int, seed int64) (*Trace, error) {
 }
 
 // NewSimulator prepares a discrete-event simulation of scenario sc over an
-// assembled system (build it with Config.Shards == device count for exact
-// per-device participation).
+// assembled system, which must be built with Config.Shards == device count
+// (one device per shard, so participation is exact per device).
 func NewSimulator(sys *System, sc SimScenario) (*Simulator, error) {
 	return sim.New(sys, sc)
 }

@@ -67,15 +67,15 @@ for row in lumos-sim-trace lumos-sim-telemetry examples/energystudy; do
 done
 
 # Kernel gates, re-run by name so a renamed or skipped guard fails loudly:
-# the blocked-vs-reference equivalence property tests under the race
-# detector (both matmul paths and the fused CSR aggregation, bit-for-bit),
-# the end-to-end both-paths trainer comparison, the golden-trace re-check on
-# the blocked+fused default, and a lumos-train smoke row forced onto the
-# reference path.
+# the equivalence property tests under the race detector (the blocked
+# matmuls against the scalar oracle loops and the fused CSR aggregation
+# against the unfused chain, bit-for-bit), the golden-trace re-check (its
+# traces predate the blocked kernels), and the tape-lifecycle goldens
+# (recycled tapes against the fresh-tape oracle). Names are matched up to
+# the " (" that follows them, so one gate name cannot pass as a prefix of
+# another.
 kern_out=$(go test -race -run 'TestKernelEquivalence|TestCSRAggregate' -count=1 -v ./internal/tensor ./internal/autodiff)
-kpath_out=$(go test -run 'TestKernelPathsBitIdentical' -count=1 -v ./internal/core)
-golden_out=$(go test -run 'TestTrainersMatchPreSessionGoldens' -count=1 -v ./internal/core)
-ksmoke_out=$(go test -run 'TestEntryPointsBuildAndRun/lumos-train-kernels-reference' -count=1 -v .)
+golden_out=$(go test -run 'TestTrainersMatchPreSessionGoldens|TestTapeReuseMatchesFreshTapes' -count=1 -v ./internal/core)
 for gate in \
 	"TestKernelEquivalenceMatMul:$kern_out" \
 	"TestKernelEquivalenceMatMulNT:$kern_out" \
@@ -83,12 +83,12 @@ for gate in \
 	"TestCSRAggregateKernelMatchesScatter:$kern_out" \
 	"TestCSRAggregateMatchesUnfused:$kern_out" \
 	"TestCSRAggregateMulMatchesUnfused:$kern_out" \
-	"TestKernelPathsBitIdentical:$kpath_out" \
 	"TestTrainersMatchPreSessionGoldens:$golden_out" \
-	"TestEntryPointsBuildAndRun/lumos-train-kernels-reference:$ksmoke_out"; do
+	"TestTapeReuseMatchesFreshTapes:$golden_out" \
+	"TestTapeReuseMatchesFreshTapesAsync:$golden_out"; do
 	name=${gate%%:*}
 	out=${gate#*:}
-	if ! grep -q -- "--- PASS: $name" <<<"$out"; then
+	if ! grep -q -- "--- PASS: $name (" <<<"$out"; then
 		echo "kernel gate $name did not pass:" >&2
 		echo "$out" >&2
 		exit 1
@@ -140,6 +140,24 @@ for gate in \
 	if ! grep -q -- "--- PASS: $name" <<<"$out"; then
 		echo "serving-loop gate $name did not pass:" >&2
 		echo "$out" >&2
+		exit 1
+	fi
+done
+
+# Decoder fuzz gates: the two decoders a replica or trainer reads from disk
+# (snapshot.Decode, nn.LoadParams), each fuzzed by name for a short fixed
+# time on top of its seed corpus and the regressions in testdata/fuzz. The
+# snapshot seeds are ~80 KB encodings, and minimizing each new interesting
+# input byte by byte would eat the whole budget, so minimization is capped.
+for target in "FuzzSnapshotDecode:./internal/snapshot" "FuzzLoadParams:./internal/nn"; do
+	name=${target%%:*}
+	pkg=${target#*:}
+	# `go test -fuzz` exits 0 when no target matches, so also require the
+	# fuzzer's progress line.
+	if ! fuzz_out=$(go test -run '^$' -fuzz "^$name\$" -fuzztime 10s -fuzzminimizetime 1s "$pkg" 2>&1) ||
+		! grep -q "^fuzz: elapsed:" <<<"$fuzz_out"; then
+		echo "fuzz gate $name failed:" >&2
+		echo "$fuzz_out" >&2
 		exit 1
 	fi
 done
