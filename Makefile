@@ -1,6 +1,6 @@
 # Developer entry points. `make ci` is the gate PRs must keep green.
 
-.PHONY: build test race bench bench-serve ci
+.PHONY: build test race bench bench-sim bench-serve ci
 
 build:
 	go build ./...
@@ -28,6 +28,13 @@ bench:
 		-bench 'BenchmarkEpoch|BenchmarkForestEpoch|BenchmarkMatMul|BenchmarkCSRAggregate' \
 		. ./internal/tensor ./internal/autodiff \
 		| go run ./scripts/benchjson -out BENCH_epoch.json
+
+# Simulator scaling curve: host time per committed round for star sync and
+# ring:2 gossip at ~100, ~330 and ~820 devices (one shard per device), five
+# runs of ten rounds each, recorded in BENCH_sim.json.
+bench-sim:
+	go test -run xxx -benchtime 10x -count 5 -bench 'BenchmarkSimRound' . \
+		| go run ./scripts/benchjson -out BENCH_sim.json
 
 # Serving benchmark: train, publish a snapshot, replay zipf query traffic
 # against a live replica, hot-swap to a republished model under load, and

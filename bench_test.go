@@ -26,6 +26,7 @@ import (
 	"lumos/internal/nn"
 	"lumos/internal/smc"
 	"lumos/internal/tensor"
+	"lumos/internal/topo"
 	"lumos/internal/tree"
 )
 
@@ -428,6 +429,60 @@ func newEpochBenchSystem(b *testing.B, workers int) (*lumos.System, *graph.NodeS
 		b.Fatal(err)
 	}
 	return sys, split
+}
+
+// BenchmarkSimRound is the simulator's scaling curve: the host time of one
+// committed round (ns/op) for the star-sync and ring:2 gossip schedulers,
+// one shard per device, on facebook-like graphs of ~100, ~330 and ~820
+// devices. The scenario follows the repository benchmark's sim workloads —
+// zipf fleet, churn 0.2, participation 0.8 — at a low MCMC budget, with
+// mid-run evaluation off; the final round's evaluation is inside the timed
+// region. Each b.N builds a fresh simulator for b.N rounds, so run it with
+// a fixed -benchtime Nx (`make bench-sim`).
+func BenchmarkSimRound(b *testing.B) {
+	for _, mode := range []struct {
+		name  string
+		sched lumos.Sched
+	}{{"sync", lumos.SchedSync}, {"gossip", lumos.SchedGossip}} {
+		for _, scale := range []float64{0.005, 0.015, 0.036} {
+			g, err := graph.FacebookLike(scale, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/N=%d", mode.name, g.N), func(b *testing.B) {
+				sys, err := lumos.NewSystem(g, g, lumos.Config{
+					Task: lumos.Supervised, MCMCIterations: 20, Shards: g.N,
+					Sched: mode.sched, Seed: 1,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sc := lumos.SimScenario{
+					Fleet: lumos.FleetZipf, Churn: 0.2, Participation: 0.8,
+					Rounds: b.N, EvalEvery: -1, Seed: 1,
+				}
+				if mode.sched == lumos.SchedGossip {
+					if sc.Topology, err = topo.Ring(g.N, 2); err != nil {
+						b.Fatal(err)
+					}
+				}
+				sm, err := lumos.NewSimulator(sys, sc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				if _, err := sm.Run(lumos.NewSupervisedObjective(split)); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(g.N), "devices")
+			})
+		}
+	}
 }
 
 // BenchmarkMatMul measures the dense kernel at a typical layer size.

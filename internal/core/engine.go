@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -18,13 +19,15 @@ import (
 // serial combine:
 //
 //  1. parallel: each shard (a contiguous run of device trees) runs the
-//     shared encoder over its sub-forest and pools its leaves into a partial
-//     per-vertex embedding P_s (paper Eq. 31 restricted to the shard's
-//     leaves);
-//  2. serial: pooled = Σ_s P_s in shard order, then the task loss;
-//  3. parallel: each shard replays the loss gradient of its partial through
-//     its own subgraph, accumulating into shard-private views of the shared
-//     weights (nn.CloneShared);
+//     shared encoder over its sub-forest and pools its leaves into a compact
+//     partial P_s (paper Eq. 31 restricted to the shard's leaves): one row
+//     per vertex the shard's leaves touch, K_s rows in all, not one per
+//     vertex of the graph;
+//  2. serial: P_s is scatter-added into the N-row pooled matrix at the
+//     shard's touched rows, in shard order, then the task loss;
+//  3. parallel: each shard gathers its touched rows of the pooled gradient
+//     and replays them through its own subgraph, accumulating into
+//     shard-private views of the shared weights (nn.CloneShared);
 //  4. serial: shard gradients are reduced into the real parameters in shard
 //     order and the optimizer steps.
 //
@@ -33,6 +36,13 @@ import (
 // the root seed, all cross-shard reductions (steps 2 and 4) run serially in
 // fixed shard order, and parallel phases write only shard-local state. So
 // Workers=1 and Workers=N produce bit-identical losses and weights.
+//
+// Step 2 is bit-identical to summing dense N-row partials: a pooled row is
+// never −0 (CSRAggregateInto stores each row's first term through `+ 0`),
+// and x + (+0) = x for every x but −0, so the exact +0 rows a dense
+// partial holds for untouched vertices never change a sum. Step 3 seeds
+// each partial with 0 + g where the dense combine seeded 0 + (0 + g), the
+// same value by the same argument.
 //
 // Under Config.Sched == SchedAsync, step 4 additionally delays the gradient
 // contribution of straggler shards (the heaviest trees) by up to
@@ -52,8 +62,13 @@ type shard struct {
 	leafLocal  []int
 	leafVertex []int
 	poolCoef   []float64
+	// touched lists the distinct leafVertex values in ascending order: the
+	// rows of the pooled matrix this shard writes. Row k of the shard's
+	// partial is vertex touched[k].
+	touched []int
 	// pool groups the leaf→vertex pooling edges by vertex (stable leaf
-	// order) so average pooling runs as one CSR aggregation.
+	// order), with each vertex remapped to its index in touched, so average
+	// pooling runs as one CSR aggregation into a len(touched)-row partial.
 	pool *tensor.CSR
 	// work is the shard's node count — its compute weight, used both to
 	// balance the partition and to rank stragglers for async scheduling.
@@ -86,13 +101,17 @@ type engine struct {
 	viewParams [][]*nn.Param // per-shard view parameters, aligned with encParams
 	encParams  []*nn.Param   // the real encoder parameters
 	allParams  []*nn.Param   // encoder + head, the optimizer's param set
-	// lastParts/partAge cache each shard's most recent pooled partial for
-	// partial-participation rounds: an absent shard's vertices keep serving
-	// the embeddings its leaves last pushed, until the cache ages out. The
-	// cache owns its matrices (copied out of the shard tapes, which recycle
-	// theirs every epoch).
+	// lastParts/partAge cache each shard's most recent pooled partial (its
+	// len(touched) rows) for partial-participation rounds: an absent shard's
+	// vertices keep serving the embeddings its leaves last pushed, until the
+	// cache ages out. The cache owns its matrices (copied out of the shard
+	// tapes, which recycle theirs every epoch).
 	lastParts []*tensor.Matrix
 	partAge   []int
+	// parts holds the partials of the latest forward pass (nil for a shard
+	// that sat it out). They live on the shard tapes, so they are valid
+	// until the next forward pass; the slice itself is reused across rounds.
+	parts []*autodiff.Value
 }
 
 // newEngine shards the system's forest and prepares per-shard model views.
@@ -107,7 +126,7 @@ func newEngine(s *System) *engine {
 	e := &engine{sys: s, workers: s.Cfg.Workers}
 	e.shards = buildShards(s.Forest, s.Trees, target)
 	for _, sh := range e.shards {
-		sh.pool = tensor.NewCSR(s.G.N, sh.leafLocal, sh.leafVertex)
+		sh.touched, sh.pool = compactPool(sh.leafLocal, sh.leafVertex)
 	}
 	for i := range e.shards {
 		e.encs = append(e.encs, s.Encoder.CloneShared())
@@ -216,6 +235,29 @@ func buildShards(f *Forest, trees []*tree.Tree, target int) []*shard {
 	return shards
 }
 
+// compactPool returns the distinct vertices a shard's leaves pool into, in
+// ascending order, and the leaf→vertex pooling CSR with each vertex
+// remapped to its index in that list. The remap is monotone, so every
+// segment keeps its slots in leaf order and each partial row is computed
+// exactly as the same row of an N-row pooling would be.
+func compactPool(leafLocal, leafVertex []int) (touched []int, pool *tensor.CSR) {
+	touched = append([]int(nil), leafVertex...)
+	sort.Ints(touched)
+	k := 0
+	for i, v := range touched {
+		if i == 0 || v != touched[k-1] {
+			touched[k] = v
+			k++
+		}
+	}
+	touched = touched[:k:k]
+	dst := make([]int, len(leafVertex))
+	for i, v := range leafVertex {
+		dst[i] = sort.SearchInts(touched, v)
+	}
+	return touched, tensor.NewCSR(len(touched), leafLocal, dst)
+}
+
 // shardDelays assigns each shard its gradient-application delay: the
 // heaviest shard lags the full staleness bound, the next heaviest one epoch
 // less, and so on down to zero. Ties break by shard index, keeping the
@@ -229,17 +271,9 @@ func shardDelays(shards []*shard, staleness int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	// Insertion sort by descending work, ascending index — shard counts are
-	// small (≤ DefaultShards) and this avoids pulling in sort for one call.
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := order[j-1], order[j]
-			if shards[a].work > shards[b].work || (shards[a].work == shards[b].work && a < b) {
-				break
-			}
-			order[j-1], order[j] = b, a
-		}
-	}
+	// By descending work; the stable sort keeps equal-work shards in index
+	// order.
+	sort.SliceStable(order, func(a, b int) bool { return shards[order[a]].work > shards[order[b]].work })
 	for rank, s := range order {
 		if d := staleness - rank; d > 0 {
 			delays[s] = d
@@ -281,9 +315,9 @@ func (e *engine) parallel(fn func(i int)) {
 }
 
 // forwardShards runs the shared encoder over every shard and pools each
-// shard's leaves into its partial per-vertex embedding P_s (N×OutDim). The
-// returned Values carry live autodiff graphs rooted in the shard's weight
-// views.
+// shard's leaves into its partial embedding P_s, a len(touched)×OutDim
+// matrix whose row k belongs to vertex touched[k]. The returned Values
+// carry live autodiff graphs rooted in the shard's weight views.
 func (e *engine) forwardShards(training bool) []*autodiff.Value {
 	return e.forwardActive(training, nil)
 }
@@ -294,9 +328,13 @@ func (e *engine) forwardShards(training bool) []*autodiff.Value {
 // buffers), so the partials' graphs are tape-backed: Backward on them is a
 // linear sweep, and their memory is recycled next epoch.
 func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
-	parts := make([]*autodiff.Value, len(e.shards))
+	if e.parts == nil {
+		e.parts = make([]*autodiff.Value, len(e.shards))
+	}
+	parts := e.parts
 	e.parallel(func(i int) {
 		if active != nil && !active[i] {
+			parts[i] = nil
 			return
 		}
 		sh := e.shards[i]
@@ -308,9 +346,14 @@ func (e *engine) forwardActive(training bool, active []bool) []*autodiff.Value {
 }
 
 // forward returns the pooled per-vertex embeddings, combining shard partials
-// in fixed shard order.
+// in fixed shard order. The result is a constant: it serves evaluation, and
+// no gradient flows back into the shards from it.
 func (e *engine) forward(training bool) *autodiff.Value {
-	return autodiff.AddN(e.forwardShards(training)...)
+	pooled := tensor.New(e.sys.G.N, e.sys.Encoder.EmbeddingDim())
+	for i, p := range e.forwardShards(training) {
+		tensor.ScatterAddRows(pooled, p.Data, e.shards[i].touched)
+	}
+	return autodiff.Const(pooled)
 }
 
 // step runs one full-participation training epoch under the engine's
@@ -361,20 +404,17 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 	// Phase 1: parallel local forward + pool over the active shards.
 	parts := e.forwardActive(true, active)
 
-	// Phase 2: serial combine and loss, recorded on the combine tape.
-	// Cutting the graph at each fresh partial (a new leaf sharing the
-	// partial's data) keeps the expensive shard subgraphs out of this
-	// Backward; it stops at the cut leaves. Absent shards contribute their
-	// cached partial as a constant.
+	// Phase 2: serial combine and loss, recorded on the combine tape. Each
+	// fresh partial, or an absent shard's cached one, is scatter-added into
+	// one pooled matrix, which enters the combine tape as a leaf: the
+	// expensive shard subgraphs stay out of this Backward.
 	st := e.serialTape()
-	cuts := make([]*autodiff.Value, len(parts))
-	terms := make([]*autodiff.Value, 0, len(parts))
+	pooledData := st.Matrix(s.G.N, s.Encoder.EmbeddingDim())
 	for i, p := range parts {
 		switch {
 		case p != nil:
 			rep.activeShards++
-			cuts[i] = st.Var(p.Data)
-			terms = append(terms, cuts[i])
+			tensor.ScatterAddRows(pooledData, p.Data, e.shards[i].touched)
 			if e.lastParts != nil {
 				// Copy the partial out of the shard tape: the cache must
 				// outlive the tape's next Reset.
@@ -387,7 +427,7 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 			}
 		case e.lastParts[i] != nil && e.partAge[i] < partTTL:
 			e.partAge[i]++
-			terms = append(terms, st.Const(e.lastParts[i]))
+			tensor.ScatterAddRows(pooledData, e.lastParts[i], e.shards[i].touched)
 		case e.lastParts[i] != nil:
 			// Expired: count the dropped contribution once and release the
 			// matrix; the shard contributes nothing until it computes again.
@@ -395,35 +435,45 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 			rep.expiredParts++
 		}
 	}
-	var pooled *autodiff.Value
-	if len(terms) > 0 {
-		pooled = autodiff.AddN(terms...)
-	} else {
-		pooled = autodiff.Const(tensor.New(s.G.N, s.Encoder.EmbeddingDim()))
+	// Only fresh partials take a gradient; a round served wholly from
+	// caches pools a constant.
+	pooled := st.Const(pooledData)
+	if rep.activeShards > 0 {
+		pooled = st.Var(pooledData)
 	}
 	loss := lossFn(pooled)
 	loss.Backward()
 
-	// Phase 3: parallel shard backward, replaying each cut's gradient
-	// through the shard subgraph into the shard's private weight views.
-	e.parallel(func(i int) {
-		if cuts[i] == nil {
-			return
-		}
-		if g := cuts[i].Grad; g != nil {
-			parts[i].BackwardWithGradient(g)
-		}
-	})
+	// Phase 3: parallel shard backward. Each active shard gathers its
+	// touched rows of the pooled gradient into a buffer on its own tape and
+	// replays them through the shard subgraph into its private weight views.
+	if g := pooled.Grad; g != nil {
+		e.parallel(func(i int) {
+			if parts[i] == nil {
+				return
+			}
+			seed := e.tapes[i].Matrix(parts[i].Rows(), parts[i].Cols())
+			tensor.GatherInto(seed, g, e.shards[i].touched)
+			parts[i].BackwardWithGradient(seed)
+		})
+	}
 
-	// Phase 4: deterministic reduction, in the same order as the historical
-	// queue-everything scheme: gradients from earlier epochs that come due
-	// now were queued first, so they apply first; then this epoch's
-	// immediate (delay-0) shard gradients in shard order. Immediate
-	// gradients fold straight into the real parameters and their view
-	// buffers are zeroed in place for next epoch's accumulation — only
-	// delayed gradients detach their buffers into the queue (the buffer
-	// must outlive the view's next backward).
-	rep.staleApplied = e.applyDue(e.epoch)
+	rep.staleApplied = e.finishRound(parts, delays)
+	return loss.Scalar(), rep
+}
+
+// finishRound is phase 4 of a round over the shards that computed partials
+// (non-nil parts): a deterministic reduction, in the same order as the
+// historical queue-everything scheme. Gradients from earlier epochs that
+// come due now were queued first, so they apply first; then this epoch's
+// immediate (delay-0) shard gradients in shard order. Immediate gradients
+// fold straight into the real parameters and their view buffers are zeroed
+// in place for next epoch's accumulation — only delayed gradients detach
+// their buffers into the queue (the buffer must outlive the view's next
+// backward). The optimizer then steps and the round clock advances. delays
+// is as for stepRound. Returns the number of stale gradients applied.
+func (e *engine) finishRound(parts []*autodiff.Value, delays []int) int {
+	stale := e.applyDue(e.epoch)
 	for i := range e.shards {
 		if parts[i] == nil {
 			continue
@@ -448,9 +498,9 @@ func (e *engine) stepRound(active []bool, delays []int, partTTL int, lossFn func
 		}
 		e.queue = append(e.queue, delayedGrads{computed: e.epoch, release: e.epoch + d, shard: i, grads: grads})
 	}
-	s.opt.Step(e.allParams)
+	e.sys.opt.Step(e.allParams)
 	e.epoch++
-	return loss.Scalar(), rep
+	return stale
 }
 
 // skipRound advances the round clock without fresh computation — used when a

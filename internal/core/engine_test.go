@@ -170,9 +170,15 @@ func TestAsyncReducesSimEpochTime(t *testing.T) {
 // TestShardPartitionInvariants checks the structural contract of
 // buildShards: shards are contiguous, cover every device exactly once, own
 // every forest leaf exactly once, and the partition never depends on the
-// worker count.
+// worker count. Each shard's touched rows are its distinct leaf vertices in
+// ascending order, and its partials — fresh or cached — have exactly that
+// many rows.
 func TestShardPartitionInvariants(t *testing.T) {
 	g := engineGraph(t, 14)
+	split, err := graph.SplitNodes(g, 0.5, 0.25, rand.New(rand.NewSource(14)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, shardsCfg := range []int{0, 1, 5, 1000} {
 		sys, err := NewSystem(g, g, Config{
 			Task: Supervised, Epochs: 1, MCMCIterations: 10, Shards: shardsCfg, Seed: 14,
@@ -227,6 +233,57 @@ func TestShardPartitionInvariants(t *testing.T) {
 		}
 		if nodes != sys.Forest.NumNodes {
 			t.Fatalf("shards hold %d nodes, forest has %d", nodes, sys.Forest.NumNodes)
+		}
+
+		for i, sh := range shards {
+			set := map[int]bool{}
+			for _, v := range sh.leafVertex {
+				set[v] = true
+			}
+			if len(sh.touched) != len(set) {
+				t.Fatalf("shard %d touches %d rows, its leaves pool into %d vertices", i, len(sh.touched), len(set))
+			}
+			for k, v := range sh.touched {
+				if !set[v] {
+					t.Fatalf("shard %d touches vertex %d, which none of its leaves pools into", i, v)
+				}
+				if k > 0 && v <= sh.touched[k-1] {
+					t.Fatalf("shard %d touched rows not strictly ascending: %v", i, sh.touched)
+				}
+			}
+			if sh.pool.NSeg != len(sh.touched) {
+				t.Fatalf("shard %d pools into %d rows, touches %d", i, sh.pool.NSeg, len(sh.touched))
+			}
+			// With several shards none covers the whole graph, so none may
+			// hold an N-row partial.
+			if len(shards) > 1 && len(sh.touched) >= g.N {
+				t.Fatalf("shard %d of %d touches all %d vertices", i, len(shards), g.N)
+			}
+		}
+		for i, p := range sys.eng.forwardShards(false) {
+			if p.Rows() != len(shards[i].touched) {
+				t.Fatalf("shard %d partial has %d rows, touches %d", i, p.Rows(), len(shards[i].touched))
+			}
+		}
+		// A partial-participation round fills the stale-partial cache.
+		sess, err := sys.NewSession(NewSupervisedObjective(split))
+		if err != nil {
+			t.Fatal(err)
+		}
+		active := make([]bool, g.N)
+		for v := range active {
+			active[v] = true
+		}
+		if _, err := sess.StepRound(RoundPlan{Active: active, TTL: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range sys.eng.lastParts {
+			if m == nil {
+				t.Fatalf("shard %d computed but cached no partial", i)
+			}
+			if m.Rows() != len(shards[i].touched) {
+				t.Fatalf("shard %d cached partial has %d rows, touches %d", i, m.Rows(), len(shards[i].touched))
+			}
 		}
 	}
 }

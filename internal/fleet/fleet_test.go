@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -192,8 +193,10 @@ func TestTraceProfilesSampling(t *testing.T) {
 	}
 }
 
-func TestReadTraceCSVRejectsMalformed(t *testing.T) {
-	for name, body := range map[string]string{
+// malformedTraceCSV and malformedTraceJSON are trace files both readers
+// must reject; FuzzFleetTrace starts from them.
+var (
+	malformedTraceCSV = map[string]string{
 		"empty":         "",
 		"bad header":    "a,b\n",
 		"bad value":     "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,x,1,1,1,0,0,0\n",
@@ -201,7 +204,16 @@ func TestReadTraceCSVRejectsMalformed(t *testing.T) {
 		"float period":  "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,2.5,1,0\n",
 		"phase too big": "device,compute,bandwidth,latency,power,period,on_rounds,phase\n0,1,1,1,1,4,2,9\n",
 		"no devices":    "device,compute,bandwidth,latency,power,period,on_rounds,phase\n",
-	} {
+	}
+	malformedTraceJSON = map[string]string{
+		"empty devices": `{"devices": []}`,
+		"zero compute":  `{"devices": [{"compute": 0, "bandwidth": 1, "latency": 1, "power": 1}]}`,
+		"unknown field": `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "wat": 2}]}`,
+	}
+)
+
+func TestReadTraceCSVRejectsMalformed(t *testing.T) {
+	for name, body := range malformedTraceCSV {
 		if _, err := ReadTraceCSV(bytes.NewReader([]byte(body))); err == nil {
 			t.Errorf("%s: malformed CSV trace accepted", name)
 		}
@@ -209,15 +221,54 @@ func TestReadTraceCSVRejectsMalformed(t *testing.T) {
 }
 
 func TestReadTraceJSONRejectsMalformed(t *testing.T) {
-	for name, body := range map[string]string{
-		"empty devices": `{"devices": []}`,
-		"zero compute":  `{"devices": [{"compute": 0, "bandwidth": 1, "latency": 1, "power": 1}]}`,
-		"unknown field": `{"devices": [{"compute": 1, "bandwidth": 1, "latency": 1, "power": 1, "wat": 2}]}`,
-	} {
+	for name, body := range malformedTraceJSON {
 		if _, err := ReadTraceJSON(bytes.NewReader([]byte(body))); err == nil {
 			t.Errorf("%s: malformed JSON trace accepted", name)
 		}
 	}
+}
+
+// FuzzFleetTrace feeds arbitrary bytes to both trace readers, starting from
+// the malformed tables and a written sample trace in each schema. A reader
+// must never panic, and a trace it accepts must hold only valid profiles
+// and sample a fleet. Regressions found by fuzzing live in
+// testdata/fuzz/FuzzFleetTrace.
+func FuzzFleetTrace(f *testing.F) {
+	for _, body := range malformedTraceCSV {
+		f.Add([]byte(body))
+	}
+	for _, body := range malformedTraceJSON {
+		f.Add([]byte(body))
+	}
+	sample, err := SampleTrace(3, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var csvBuf, jsonBuf bytes.Buffer
+	if err := sample.WriteCSV(&csvBuf); err != nil {
+		f.Fatal(err)
+	}
+	if err := sample.WriteJSON(&jsonBuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(csvBuf.Bytes())
+	f.Add(jsonBuf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, read := range []func(io.Reader) (*Trace, error){ReadTraceCSV, ReadTraceJSON} {
+			tr, err := read(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			for i, p := range tr.Devices {
+				if err := p.Validate(); err != nil {
+					t.Fatalf("accepted trace holds an invalid device %d: %v", i, err)
+				}
+			}
+			if _, err := tr.Profiles(4, 1); err != nil {
+				t.Fatalf("accepted trace does not sample: %v", err)
+			}
+		}
+	})
 }
 
 func TestSampleTraceShape(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -37,6 +39,85 @@ const (
 	// smaller).
 	MaxCheckpointBlobLen = 1 << 28
 )
+
+// minParamEntryBytes is the smallest stream entry one parameter can take:
+// its name and payload length fields, a one-byte name, and the matrix
+// header (magic, rows, cols) ahead of the float64 entries.
+const minParamEntryBytes = 4 + 1 + 4 + 12
+
+// MinCheckpointBytes returns the smallest SaveParams stream that can hold
+// the parameters of NewGNN(cfg) followed by those of a
+// NewLinear(cfg.OutDim, classes) head (no head when classes is 0). It reads
+// the architecture alone, so a decoder can size an untrusted architecture
+// against the bytes it actually holds before building anything. The
+// arithmetic saturates at math.MaxUint64 rather than wrapping, and an
+// architecture with more parameters than a checkpoint may carry
+// (MaxCheckpointParams) also needs math.MaxUint64. cfg must have passed
+// Validate.
+func MinCheckpointBytes(cfg GNNConfig, classes int) uint64 {
+	sz := ckptSize{bytes: 8} // magic and parameter count
+	heads := uint64(cfg.Heads)
+	in := uint64(cfg.InDim)
+	// The bound check ends the loop early: a corrupt layer count must not
+	// cost a pass per claimed layer.
+	for i := 0; i < cfg.Layers && sz.matrices <= MaxCheckpointParams; i++ {
+		last := i == cfg.Layers-1
+		out := uint64(cfg.Hidden)
+		if last {
+			out = uint64(cfg.OutDim)
+		}
+		switch cfg.Backbone {
+		case GAT:
+			// Per head a projection and two attention vectors, then one
+			// bias over the concatenated (hidden) or averaged (last) heads.
+			sz.add(heads, in, out)
+			sz.add(satMul(2, heads), out, 1)
+			if !last {
+				out = satMul(out, heads)
+			}
+			sz.add(1, 1, out)
+		default:
+			sz.add(1, in, out)
+			sz.add(1, 1, out)
+		}
+		in = out
+	}
+	if classes > 0 {
+		sz.add(1, uint64(cfg.OutDim), uint64(classes))
+		sz.add(1, 1, uint64(classes))
+	}
+	if sz.matrices > MaxCheckpointParams {
+		return math.MaxUint64
+	}
+	return sz.bytes
+}
+
+// ckptSize tallies a checkpoint stream's parameter count and minimum size.
+type ckptSize struct{ matrices, bytes uint64 }
+
+// add counts n parameters of rows×cols entries each.
+func (s *ckptSize) add(n, rows, cols uint64) {
+	s.matrices = satAdd(s.matrices, n)
+	entry := satAdd(minParamEntryBytes, satMul(8, satMul(rows, cols)))
+	s.bytes = satAdd(s.bytes, satMul(n, entry))
+}
+
+// satMul and satAdd are a·b and a+b saturated at math.MaxUint64.
+func satMul(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	if hi != 0 {
+		return math.MaxUint64
+	}
+	return lo
+}
+
+func satAdd(a, b uint64) uint64 {
+	sum, carry := bits.Add64(a, b, 0)
+	if carry != 0 {
+		return math.MaxUint64
+	}
+	return sum
+}
 
 // SaveParams writes all parameters of m to w. The writer enforces the same
 // bounds the reader checks, so a checkpoint that saves successfully always

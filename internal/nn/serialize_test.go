@@ -205,3 +205,56 @@ func TestLoadParamsFailureLeavesModelUntouched(t *testing.T) {
 		t.Fatal("failed load mutated the model")
 	}
 }
+
+// TestMinCheckpointBytesIsTight: for real architectures, the bound is the
+// exact size of the saved stream minus the name bytes past the first of
+// each parameter — it never over-asks, so no valid checkpoint is refused.
+func TestMinCheckpointBytesIsTight(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, cfg := range []GNNConfig{
+		{Backbone: GCN, InDim: 7, Hidden: 5, OutDim: 3, Layers: 1},
+		{Backbone: GCN, InDim: 7, Hidden: 5, OutDim: 3, Layers: 3},
+		{Backbone: GAT, InDim: 7, Hidden: 5, OutDim: 3, Layers: 1, Heads: 2},
+		{Backbone: GAT, InDim: 7, Hidden: 5, OutDim: 3, Layers: 3, Heads: 4},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, classes := range []int{0, 4} {
+			enc, err := NewGNN(cfg, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := paramSet(enc.Params())
+			if classes > 0 {
+				ps = append(ps, NewLinear("head", cfg.OutDim, classes, rng).Params()...)
+			}
+			slack := 0
+			for _, p := range ps {
+				slack += len(p.Name) - 1
+			}
+			got := MinCheckpointBytes(cfg, classes)
+			if want := uint64(len(checkpointOf(t, ps)) - slack); got != want {
+				t.Errorf("%+v classes %d: MinCheckpointBytes = %d, want %d", cfg, classes, got, want)
+			}
+		}
+	}
+}
+
+// TestMinCheckpointBytesSaturates: architectures whose size does not fit in
+// 64 bits, or that hold more parameters than a checkpoint may, need
+// math.MaxUint64 bytes rather than a wrapped small number.
+func TestMinCheckpointBytesSaturates(t *testing.T) {
+	const big = 1 << 24
+	for _, cfg := range []GNNConfig{
+		// 2^14 heads of 2^24×2^24 projections: 2^65 bytes in under
+		// MaxCheckpointParams matrices.
+		{Backbone: GAT, InDim: big, Hidden: big, OutDim: big, Layers: 1, Heads: 1 << 14},
+		{Backbone: GCN, InDim: 1, Hidden: 1, OutDim: 1, Layers: big},
+		{Backbone: GAT, InDim: 1, Hidden: 1, OutDim: 1, Layers: 1, Heads: MaxCheckpointParams},
+	} {
+		if got := MinCheckpointBytes(cfg, big); got != math.MaxUint64 {
+			t.Errorf("%+v: MinCheckpointBytes = %d, want MaxUint64", cfg, got)
+		}
+	}
+}

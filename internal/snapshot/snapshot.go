@@ -343,15 +343,25 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("snapshot: unknown backbone %d", backbone)
 	}
 	s.Model.Backbone = nn.Backbone(backbone)
+	if s.Classes == 1 {
+		return nil, fmt.Errorf("snapshot: classification head with %d classes", s.Classes)
+	}
+	// Each dim is bounded, but their products are not, and the model
+	// allocates every parameter as it is built: size the architecture
+	// against the weights the snapshot actually carries first.
+	arch := s.Model
+	if err := arch.Validate(); err != nil {
+		return nil, fmt.Errorf("snapshot: rebuilding encoder: %w", err)
+	}
+	if need := nn.MinCheckpointBytes(arch, s.Classes); need > uint64(len(weights)) {
+		return nil, fmt.Errorf("snapshot: architecture needs at least %d weight bytes, snapshot carries %d", need, len(weights))
+	}
 	enc, err := nn.NewGNN(s.Model, rand.New(rand.NewSource(0)))
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: rebuilding encoder: %w", err)
 	}
 	s.Encoder = enc
 	if s.Classes > 0 {
-		if s.Classes < 2 {
-			return nil, fmt.Errorf("snapshot: classification head with %d classes", s.Classes)
-		}
 		s.Head = nn.NewLinear("head", s.Model.OutDim, s.Classes, rand.New(rand.NewSource(0)))
 	}
 	if err := nn.LoadParams(bytes.NewReader(weights), model{s.Encoder, s.Head}); err != nil {

@@ -3,16 +3,19 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"lumos/internal/core"
 	"lumos/internal/graph"
+	"lumos/internal/nn"
 )
 
 // trainedSystem briefly trains a small system through the public core API.
@@ -292,6 +295,110 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := s.Encode(io.Discard); err != nil {
+			t.Fatalf("decoded snapshot does not re-encode: %v", err)
+		}
+	})
+}
+
+// seal recomputes the CRC-32 trailer of an encoding, so an edited body
+// passes the checksum and reaches the decoder's post-checksum checks.
+func seal(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) >= 4 {
+		binary.LittleEndian.PutUint32(out[len(out)-4:], crc32.ChecksumIEEE(out[:len(out)-4]))
+	}
+	return out
+}
+
+// archEdit rewrites the model header of an encoding: the backbone byte
+// (to GAT when gat is set) and the u32 fields after it (input, hidden and
+// output dims, layers, heads), then the class count behind the f64
+// dropout. A zero field is left as is.
+type archEdit struct {
+	name    string
+	gat     bool
+	dims    [5]uint32
+	classes uint32
+}
+
+func (a archEdit) apply(good []byte) []byte {
+	out := append([]byte(nil), good...)
+	// magic u32, format u32, version u64, metadata length u32 + JSON.
+	off := 20 + int(binary.LittleEndian.Uint32(out[16:]))
+	if a.gat {
+		out[off] = byte(nn.GAT)
+	}
+	off++
+	for i, d := range a.dims {
+		if d != 0 {
+			binary.LittleEndian.PutUint32(out[off+4*i:], d)
+		}
+	}
+	if a.classes != 0 {
+		binary.LittleEndian.PutUint32(out[off+20+8:], a.classes)
+	}
+	return seal(out)
+}
+
+// hugeArchitectures declare model dims within maxDim each whose parameters
+// would not fit in the weights the snapshot carries.
+var hugeArchitectures = []archEdit{
+	// 2^48 encoder entries: a makeslice panic before the weights check.
+	{name: "square 2^24 layer", dims: [5]uint32{maxDim, maxDim}},
+	{name: "2^24 layers", dims: [5]uint32{3: maxDim}},
+	{name: "2^24 GAT heads", gat: true, dims: [5]uint32{4: maxDim}},
+	{name: "2^24-class head", dims: [5]uint32{2: maxDim}, classes: maxDim},
+	{name: "2^20-wide input", dims: [5]uint32{0: 1 << 20}},
+}
+
+// TestSnapshotDecodeRejectsHugeArchitecture: a checksum-valid snapshot
+// whose model dims outgrow its weights section is refused before any
+// parameter is allocated.
+func TestSnapshotDecodeRejectsHugeArchitecture(t *testing.T) {
+	good := corruptionBase(t)
+	for _, a := range hugeArchitectures {
+		data := a.apply(good)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "architecture needs") {
+			t.Errorf("%s: err = %v, want the architecture size check", a.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+			t.Errorf("%s: decoding allocated %d bytes", a.name, grew)
+		}
+	}
+}
+
+// FuzzSnapshotDecodeSealed is FuzzSnapshotDecode with the checksum trailer
+// recomputed over every input before Decode sees it. Unsealed mutations
+// almost never pass the CRC, so this is the target that reaches the
+// post-checksum code: embedding and forest validation, the architecture
+// size check, model rebuild and weight restore. Seeds are the bit flips and
+// truncations of FuzzSnapshotDecode plus hugeArchitectures; regressions
+// live in testdata/fuzz/FuzzSnapshotDecodeSealed.
+func FuzzSnapshotDecodeSealed(f *testing.F) {
+	good := corruptionBase(f)
+	f.Add(good)
+	for _, fl := range bitFlips(good) {
+		f.Add(fl.data)
+	}
+	for _, a := range hugeArchitectures {
+		f.Add(a.apply(good))
+	}
+	good = truncationBase(f)
+	for _, n := range truncationLengths(len(good)) {
+		if n <= 256 {
+			f.Add(good[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Decode(bytes.NewReader(seal(data)))
 		if err != nil {
 			return
 		}

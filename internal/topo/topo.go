@@ -110,12 +110,21 @@ func (t *Topology) MetropolisWeight(d, j int) float64 {
 	return 1 / float64(1+dd)
 }
 
+// maxDevices bounds a topology's device count. A contact-graph file states
+// its count in one field, and the adjacency table is sized from it before
+// any edge is read; the bound matches the snapshot decoder's, so every
+// fleet a snapshot can describe still fits.
+const maxDevices = 1 << 24
+
 // FromEdges builds a validated topology from an undirected edge list.
 // Endpoints must lie in [0, n); self-loops and duplicate edges (in either
-// orientation) are rejected.
+// orientation) are rejected, and so is n above maxDevices.
 func FromEdges(name string, n int, edges [][2]int) (*Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topo: topology needs at least 2 devices, got %d", n)
+	}
+	if n > maxDevices {
+		return nil, fmt.Errorf("topo: %d devices exceed the bound %d", n, maxDevices)
 	}
 	t := &Topology{name: name, n: n, adj: make([][]int, n)}
 	seen := make(map[[2]int]bool, len(edges))

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -116,6 +117,7 @@ func TestFromEdgesRejectsMalformed(t *testing.T) {
 		{"negative", 4, [][2]int{{-1, 2}}},
 		{"duplicate", 4, [][2]int{{0, 1}, {1, 0}}},
 		{"too-small", 1, nil},
+		{"too-large", maxDevices + 1, nil},
 	}
 	for _, c := range cases {
 		if _, err := FromEdges(c.name, c.n, c.edges); err == nil {
@@ -160,8 +162,12 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadCSVRejectsMalformed(t *testing.T) {
-	cases := []struct{ name, body string }{
+// malformedCSV and malformedJSON are contact-graph files every reader must
+// reject; FuzzTopologyRead starts from them. The huge-nodes rows declare a
+// device count past the bound: the 41-byte CSV one used to panic in
+// makeslice sizing the adjacency table.
+var (
+	malformedCSV = []struct{ name, body string }{
 		{"missing-nodes", "src,dst\n0,1\n"},
 		{"missing-header", "# nodes: 4\n"},
 		{"wrong-header", "# nodes: 4\na,b\n0,1\n"},
@@ -170,18 +176,72 @@ func TestReadCSVRejectsMalformed(t *testing.T) {
 		{"duplicate", "# nodes: 4\nsrc,dst\n0,1\n1,0\n"},
 		{"non-numeric", "# nodes: 4\nsrc,dst\nzero,1\n"},
 		{"bad-directive", "# nodes: four\nsrc,dst\n0,1\n"},
+		{"huge-nodes", "# nodes: 4611686018427387904\nsrc,dst\n"},
+		{"nodes-over-bound", "# nodes: 16777217\nsrc,dst\n0,1\n"},
 	}
-	for _, c := range cases {
+	malformedJSON = []struct{ name, body string }{
+		{"unknown-field", `{"nodes": 4, "edges": [[0,1]], "bogus": 1}`},
+		{"self-loop", `{"nodes": 4, "edges": [[0,0]]}`},
+		{"huge-nodes", `{"nodes": 4611686018427387904, "edges": []}`},
+		{"nodes-over-bound", `{"nodes": 16777217, "edges": [[0,1]]}`},
+	}
+)
+
+func TestReadCSVRejectsMalformed(t *testing.T) {
+	for _, c := range malformedCSV {
 		if _, err := ReadCSV(strings.NewReader(c.body)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := ReadJSON(strings.NewReader(`{"nodes": 4, "edges": [[0,1]], "bogus": 1}`)); err == nil {
-		t.Error("unknown JSON field accepted")
+	for _, c := range malformedJSON {
+		if _, err := ReadJSON(strings.NewReader(c.body)); err == nil {
+			t.Errorf("JSON %s: accepted", c.name)
+		}
 	}
-	if _, err := ReadJSON(strings.NewReader(`{"nodes": 4, "edges": [[0,0]]}`)); err == nil {
-		t.Error("JSON self-loop accepted")
+}
+
+// FuzzTopologyRead feeds arbitrary bytes to both contact-graph readers,
+// starting from the malformed tables and two valid files. A reader must
+// never panic, and a topology it accepts must survive a write→read round
+// trip unchanged. Regressions found by fuzzing live in
+// testdata/fuzz/FuzzTopologyRead.
+func FuzzTopologyRead(f *testing.F) {
+	for _, c := range malformedCSV {
+		f.Add([]byte(c.body))
 	}
+	for _, c := range malformedJSON {
+		f.Add([]byte(c.body))
+	}
+	f.Add([]byte("# nodes: 4\nsrc,dst\n0,1\n1,2\n"))
+	f.Add([]byte(`{"name": "p", "nodes": 4, "edges": [[0,1],[2,1]]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if top, err := ReadCSV(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := top.WriteCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+			again, err := ReadCSV(&buf)
+			if err != nil {
+				t.Fatalf("rewritten CSV does not read back: %v", err)
+			}
+			if again.N() != top.N() || !reflect.DeepEqual(again.Edges(), top.Edges()) {
+				t.Fatal("CSV round trip changed the topology")
+			}
+		}
+		if top, err := ReadJSON(bytes.NewReader(data)); err == nil {
+			var buf bytes.Buffer
+			if err := top.WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			again, err := ReadJSON(&buf)
+			if err != nil {
+				t.Fatalf("rewritten JSON does not read back: %v", err)
+			}
+			if again.N() != top.N() || again.Name() != top.Name() || !reflect.DeepEqual(again.Edges(), top.Edges()) {
+				t.Fatal("JSON round trip changed the topology")
+			}
+		}
+	})
 }
 
 func TestParseSpec(t *testing.T) {

@@ -70,12 +70,13 @@ done
 # the equivalence property tests under the race detector (the blocked
 # matmuls against the scalar oracle loops and the fused CSR aggregation
 # against the unfused chain, bit-for-bit), the golden-trace re-check (its
-# traces predate the blocked kernels), and the tape-lifecycle goldens
-# (recycled tapes against the fresh-tape oracle). Names are matched up to
+# traces predate the blocked kernels), the tape-lifecycle goldens
+# (recycled tapes against the fresh-tape oracle), and the compact shard
+# combine against the dense AddN oracle. Names are matched up to
 # the " (" that follows them, so one gate name cannot pass as a prefix of
 # another.
 kern_out=$(go test -race -run 'TestKernelEquivalence|TestCSRAggregate' -count=1 -v ./internal/tensor ./internal/autodiff)
-golden_out=$(go test -run 'TestTrainersMatchPreSessionGoldens|TestTapeReuseMatchesFreshTapes' -count=1 -v ./internal/core)
+golden_out=$(go test -run 'TestTrainersMatchPreSessionGoldens|TestTapeReuseMatchesFreshTapes|TestSparseCombineMatchesDenseOracle' -count=1 -v ./internal/core)
 for gate in \
 	"TestKernelEquivalenceMatMul:$kern_out" \
 	"TestKernelEquivalenceMatMulNT:$kern_out" \
@@ -85,7 +86,8 @@ for gate in \
 	"TestCSRAggregateMulMatchesUnfused:$kern_out" \
 	"TestTrainersMatchPreSessionGoldens:$golden_out" \
 	"TestTapeReuseMatchesFreshTapes:$golden_out" \
-	"TestTapeReuseMatchesFreshTapesAsync:$golden_out"; do
+	"TestTapeReuseMatchesFreshTapesAsync:$golden_out" \
+	"TestSparseCombineMatchesDenseOracle:$golden_out"; do
 	name=${gate%%:*}
 	out=${gate#*:}
 	if ! grep -q -- "--- PASS: $name (" <<<"$out"; then
@@ -144,12 +146,15 @@ for gate in \
 	fi
 done
 
-# Decoder fuzz gates: the two decoders a replica or trainer reads from disk
-# (snapshot.Decode, nn.LoadParams), each fuzzed by name for a short fixed
-# time on top of its seed corpus and the regressions in testdata/fuzz. The
-# snapshot seeds are ~80 KB encodings, and minimizing each new interesting
-# input byte by byte would eat the whole budget, so minimization is capped.
-for target in "FuzzSnapshotDecode:./internal/snapshot" "FuzzLoadParams:./internal/nn"; do
+# Decoder fuzz gates: the decoders of files a replica, trainer or simulator
+# reads from disk (snapshot.Decode — raw and with a resealed checksum, so
+# the post-checksum path is reached — nn.LoadParams, the topology and fleet
+# trace readers), each fuzzed by name for a short fixed time on top of its
+# seed corpus and the regressions in testdata/fuzz. The snapshot seeds are
+# ~80 KB encodings, and minimizing each new interesting input byte by byte
+# would eat the whole budget, so minimization is capped.
+for target in "FuzzSnapshotDecode:./internal/snapshot" "FuzzSnapshotDecodeSealed:./internal/snapshot" \
+	"FuzzLoadParams:./internal/nn" "FuzzTopologyRead:./internal/topo" "FuzzFleetTrace:./internal/fleet"; do
 	name=${target%%:*}
 	pkg=${target#*:}
 	# `go test -fuzz` exits 0 when no target matches, so also require the
